@@ -57,9 +57,9 @@ pub enum EngineError {
         lsn: u64,
         detail: String,
     },
-    /// A malformed configuration value (`NRA_FAULT`, `NRA_MEM_LIMIT`,
-    /// `NRA_BATCH_ROWS`, ...). Reported up front instead of silently
-    /// ignoring the setting.
+    /// A malformed value of an `NRA_*` variable, from
+    /// [`crate::config::Config::from_env`]. Reported up front instead of
+    /// silently ignoring the setting.
     Config {
         var: String,
         value: String,

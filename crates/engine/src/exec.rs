@@ -43,7 +43,7 @@ use std::cmp::Ordering;
 use std::ops::Range;
 
 use crate::error::EngineError;
-use crate::{faultinject, governor};
+use crate::{config, faultinject, governor};
 
 /// Default minimum rows per worker before an operator partitions.
 /// Spawning a scoped thread costs ~10µs; below this floor the sequential
@@ -57,28 +57,20 @@ pub const MAX_THREADS: usize = 64;
 
 thread_local! {
     /// Per-thread override of the worker budget (`None` = consult the
-    /// `NRA_THREADS` environment variable).
+    /// configured `NRA_THREADS`).
     static THREADS: Cell<Option<usize>> = const { Cell::new(None) };
     /// Per-thread morsel floor (tests shrink it to exercise the parallel
     /// paths on small corpora).
     static MORSEL_ROWS: Cell<usize> = const { Cell::new(DEFAULT_MORSEL_ROWS) };
 }
 
-fn env_threads() -> Option<usize> {
-    std::env::var("NRA_THREADS")
-        .ok()?
-        .trim()
-        .parse::<usize>()
-        .ok()
-}
-
 /// The worker budget for operators on this thread: the per-query override
-/// when set, else `NRA_THREADS`, else 1 (sequential). Always in
-/// `1..=MAX_THREADS`.
+/// when set, else the ambient `NRA_THREADS` ([`config::ambient`]), else 1
+/// (sequential). Always in `1..=MAX_THREADS`.
 pub fn threads() -> usize {
     THREADS
         .with(Cell::get)
-        .or_else(env_threads)
+        .or(config::ambient().threads)
         .unwrap_or(1)
         .clamp(1, MAX_THREADS)
 }
@@ -97,11 +89,17 @@ impl Drop for ThreadsGuard {
 
 /// Set (or with `None`, clear) this thread's worker-budget override for
 /// the lifetime of the returned guard. Queries install this from
-/// `QueryOptions::threads`; clearing falls back to `NRA_THREADS`.
+/// `QueryOptions::threads`; clearing falls back to the configured
+/// `NRA_THREADS`.
 pub fn set_threads(n: Option<usize>) -> ThreadsGuard {
     ThreadsGuard {
         prev: THREADS.with(|t| t.replace(n.map(|n| n.clamp(1, MAX_THREADS)))),
     }
+}
+
+/// This thread's raw worker-budget override, if any.
+pub fn threads_override() -> Option<usize> {
+    THREADS.with(Cell::get)
 }
 
 /// The current morsel floor (minimum rows per worker).
@@ -157,7 +155,7 @@ pub fn chunks(len: usize, parts: usize) -> Vec<Range<usize>> {
 /// Best-effort rendering of a panic payload for
 /// [`EngineError::WorkerPanicked`] messages (`panic!` payloads are
 /// `&str` or `String` in practice).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -3,7 +3,7 @@
 //! the morsel scheduler's worker threads.
 //!
 //! A [`Governor`] is built per query (from `QueryOptions` limits, the
-//! `NRA_MEM_LIMIT` / `NRA_FAULT` environment, an explicit
+//! configured `NRA_MEM_LIMIT` / `NRA_FAULT`, an explicit
 //! [`CancelToken`], or a `timeout_ms` deadline), wrapped in an `Arc`,
 //! and [`install`]ed on the coordinating thread for the query's
 //! lifetime. `exec::run_partitioned` captures the installed governor and
@@ -125,23 +125,6 @@ impl Governor {
     /// Arm a fault plan (see [`crate::faultinject`]).
     pub fn faults(mut self, plan: FaultPlan) -> Governor {
         self.faults = plan;
-        self
-    }
-
-    /// Overlay environment defaults: `NRA_MEM_LIMIT` when no limit was
-    /// set programmatically, `NRA_FAULT` when no fault plan was.
-    pub fn with_env(mut self) -> Governor {
-        if self.mem_limit.is_none() {
-            if let Some(bytes) = std::env::var("NRA_MEM_LIMIT")
-                .ok()
-                .and_then(|v| v.trim().parse::<u64>().ok())
-            {
-                self = self.mem_limit(bytes);
-            }
-        }
-        if self.faults.is_empty() {
-            self.faults = FaultPlan::from_env();
-        }
         self
     }
 
@@ -468,31 +451,6 @@ impl AdmissionConfig {
 
     pub fn queue_timeout_ms(mut self, ms: u64) -> AdmissionConfig {
         self.queue_timeout_ms = ms;
-        self
-    }
-
-    /// Overlay the environment: `NRA_MAX_CONCURRENT`,
-    /// `NRA_ADMISSION_MEM` (bytes) and `NRA_ADMISSION_TIMEOUT_MS`, each
-    /// only where nothing was set programmatically.
-    pub fn with_env(mut self) -> AdmissionConfig {
-        let parse = |var: &str| {
-            std::env::var(var)
-                .ok()
-                .and_then(|v| v.trim().parse::<u64>().ok())
-        };
-        if self.max_concurrent.is_none() {
-            if let Some(n) = parse("NRA_MAX_CONCURRENT") {
-                self = self.max_concurrent(n as usize);
-            }
-        }
-        if self.mem_cap_bytes.is_none() {
-            if let Some(b) = parse("NRA_ADMISSION_MEM") {
-                self = self.mem_cap_bytes(b);
-            }
-        }
-        if let Some(ms) = parse("NRA_ADMISSION_TIMEOUT_MS") {
-            self = self.queue_timeout_ms(ms);
-        }
         self
     }
 

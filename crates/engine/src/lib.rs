@@ -9,6 +9,8 @@
 //!   sort (see `DESIGN.md` §10);
 //! * [`governor`] — per-query resource governance: memory budgets,
 //!   cooperative cancellation, and the worker handoff for both;
+//! * [`config`] — the typed `NRA_*` configuration: one strict parser per
+//!   environment variable and the one `NRA_FAULT` grammar parser;
 //! * [`faultinject`] — deterministic fault injection at named execution
 //!   sites (`NRA_FAULT`), proving every recovery path;
 //! * [`ops`] — physical operators (scan, filter, project, sort, Cartesian

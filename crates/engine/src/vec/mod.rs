@@ -30,7 +30,7 @@
 //! The batch width defaults to [`DEFAULT_BATCH_ROWS`] (matching the
 //! morsel floor and the governor's `CHECK_ROWS` cadence) and can be
 //! overridden per thread with [`set_batch_rows`] or globally with the
-//! `NRA_BATCH_ROWS` environment variable.
+//! `NRA_BATCH_ROWS` environment variable (read by [`crate::config`]).
 
 pub mod batch;
 pub mod eval;
@@ -55,25 +55,18 @@ pub const DEFAULT_BATCH_ROWS: usize = 1024;
 
 thread_local! {
     /// Per-thread override of the batch width (`None` = consult the
-    /// `NRA_BATCH_ROWS` environment variable).
+    /// configured `NRA_BATCH_ROWS`).
     static BATCH_ROWS: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
-fn env_batch_rows() -> Option<usize> {
-    std::env::var("NRA_BATCH_ROWS")
-        .ok()?
-        .trim()
-        .parse::<usize>()
-        .ok()
-}
-
 /// The batch width for vectorized scans on this thread: the per-query
-/// override when set, else `NRA_BATCH_ROWS`, else
-/// [`DEFAULT_BATCH_ROWS`]. Always at least 1.
+/// override when set, else the ambient `NRA_BATCH_ROWS`
+/// ([`crate::config::ambient`]), else [`DEFAULT_BATCH_ROWS`]. Always at
+/// least 1.
 pub fn batch_rows() -> usize {
     BATCH_ROWS
         .with(Cell::get)
-        .or_else(env_batch_rows)
+        .or(crate::config::ambient().batch_rows)
         .unwrap_or(DEFAULT_BATCH_ROWS)
         .max(1)
 }
@@ -92,7 +85,8 @@ impl Drop for BatchRowsGuard {
 
 /// Set (or with `None`, clear) this thread's batch-width override for the
 /// lifetime of the returned guard. Tests shrink it to 1 or 3 to shake
-/// batch-boundary handling; clearing falls back to `NRA_BATCH_ROWS`.
+/// batch-boundary handling; clearing falls back to the configured
+/// `NRA_BATCH_ROWS`.
 pub fn set_batch_rows(n: Option<usize>) -> BatchRowsGuard {
     BatchRowsGuard {
         prev: BATCH_ROWS.with(|b| b.replace(n.map(|n| n.max(1)))),

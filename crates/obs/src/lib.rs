@@ -515,10 +515,9 @@ pub struct Profile {
     /// Worker-thread budget the query ran with (1 = sequential; 0 is
     /// treated as 1 for profiles built before the field existed).
     pub threads: usize,
-    /// How the query finished, when the caller recorded it: `"ok"`,
-    /// `"cancelled"`, `"resource-exhausted"`, `"worker-panicked"`, or
-    /// `"error"` for any other failure. `None` for profiles collected
-    /// outside a query lifecycle.
+    /// How the query finished, when the caller recorded it: the query
+    /// record's outcome ([`queryreg::QueryRecord::outcome`]). `None` for
+    /// profiles collected outside a query lifecycle.
     pub outcome: Option<String>,
 }
 

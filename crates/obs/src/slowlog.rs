@@ -1,11 +1,11 @@
 //! Slow-query log: schema-validated JSONL records for queries whose wall
 //! time crossed a threshold.
 //!
-//! The query entry point builds a [`SlowRecord`] when a query's wall
-//! time reaches `QueryOptions::slow_ms` (or the `NRA_SLOW_MS`
-//! environment variable; `0` logs every query) and appends its
-//! [`SlowRecord::to_jsonl`] line to the `NRA_SLOW_LOG` path — the same
-//! append-JSONL idiom the `NRA_METRICS` sink uses. Every string goes
+//! The query lifecycle builds a [`SlowRecord`] around the query's
+//! terminal [`QueryRecord`] when its wall time reaches
+//! `QueryOptions::slow_ms` (or `NRA_SLOW_MS`; `0` logs every query) and
+//! appends its [`SlowRecord::to_jsonl`] line to the `NRA_SLOW_LOG` path —
+//! the same append-JSONL idiom the `NRA_METRICS` sink uses. Every string goes
 //! through [`crate::json`]'s single escaping routine, and [`validate`] /
 //! [`validate_lines`] re-parse emitted records against the schema, so CI
 //! can gate on the log staying machine-readable.
@@ -24,17 +24,15 @@
 
 use crate::json::{self, Json};
 use crate::progress::ProgressSnapshot;
+use crate::queryreg::QueryRecord;
 use crate::Profile;
 
-/// Everything one slow-query record carries.
+/// Everything one slow-query record carries: the query's terminal
+/// record plus the artifacts only the log keeps.
 pub struct SlowRecord<'a> {
-    pub statement: &'a str,
-    pub outcome: &'a str,
-    pub wall_ms: u64,
-    pub threads: u64,
-    pub rows: u64,
-    pub strategy: &'a str,
-    pub mem_bytes: u64,
+    /// Statement, outcome, wall time, threads, rows, strategy and memory
+    /// high-water (its id, Q-error and session stay out of the schema).
+    pub record: &'a QueryRecord,
     /// Rendered plan text, when one was produced for this query.
     pub plan: Option<&'a str>,
     /// The merged per-operator profile, when one was collected.
@@ -46,16 +44,17 @@ pub struct SlowRecord<'a> {
 impl SlowRecord<'_> {
     /// One newline-terminated JSONL line.
     pub fn to_jsonl(&self) -> String {
+        let r = self.record;
         let mut out = String::from("{\"statement\": ");
-        json::write_string(&mut out, self.statement);
+        json::write_string(&mut out, &r.sql);
         out.push_str(", \"outcome\": ");
-        json::write_string(&mut out, self.outcome);
+        json::write_string(&mut out, &r.outcome);
         out.push_str(&format!(
             ", \"wall_ms\": {}, \"threads\": {}, \"rows\": {}, \"strategy\": ",
-            self.wall_ms, self.threads, self.rows
+            r.wall_ms, r.threads, r.rows
         ));
-        json::write_string(&mut out, self.strategy);
-        out.push_str(&format!(", \"mem_bytes\": {}", self.mem_bytes));
+        json::write_string(&mut out, &r.strategy);
+        out.push_str(&format!(", \"mem_bytes\": {}", r.mem_bytes));
         out.push_str(", \"plan\": ");
         match self.plan {
             Some(p) => json::write_string(&mut out, p),
@@ -71,19 +70,6 @@ impl SlowRecord<'_> {
         out.push_str("}\n");
         out
     }
-}
-
-/// The effective slow-query threshold from the environment, in
-/// milliseconds (`NRA_SLOW_MS`; `None` when unset or unparsable).
-pub fn env_threshold_ms() -> Option<u64> {
-    std::env::var("NRA_SLOW_MS")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-}
-
-/// The slow-query log path from the environment (`NRA_SLOW_LOG`).
-pub fn env_log_path() -> Option<String> {
-    std::env::var("NRA_SLOW_LOG").ok().filter(|p| !p.is_empty())
 }
 
 fn require_u64(v: &Json, key: &str) -> Result<(), String> {
@@ -168,15 +154,28 @@ mod tests {
         p.snapshot()
     }
 
-    fn record<'a>(progress: &'a ProgressSnapshot, profile: Option<&'a Profile>) -> SlowRecord<'a> {
-        SlowRecord {
-            statement: "select \"weird\" from t",
-            outcome: "ok",
+    fn query() -> QueryRecord {
+        QueryRecord {
+            id: 1,
+            sql: "select \"weird\" from t".to_string(),
+            outcome: "ok".to_string(),
             wall_ms: 7,
-            threads: 2,
             rows: 12,
-            strategy: "original",
+            threads: 2,
+            qerror_x100: 0,
             mem_bytes: 0,
+            strategy: "original".to_string(),
+            session: 0,
+        }
+    }
+
+    fn record<'a>(
+        query: &'a QueryRecord,
+        progress: &'a ProgressSnapshot,
+        profile: Option<&'a Profile>,
+    ) -> SlowRecord<'a> {
+        SlowRecord {
+            record: query,
             plan: None,
             profile,
             progress,
@@ -186,7 +185,7 @@ mod tests {
     #[test]
     fn records_validate_and_roundtrip() {
         let snap = snapshot();
-        let line = record(&snap, None).to_jsonl();
+        let line = record(&query(), &snap, None).to_jsonl();
         assert!(line.ends_with('\n'));
         validate(&line).unwrap();
         let v = Json::parse(line.trim()).unwrap();
@@ -207,7 +206,7 @@ mod tests {
         crate::span(|| "join".to_string()).rows_out(3);
         let profile = crate::disable().unwrap();
         let snap = snapshot();
-        let line = record(&snap, Some(&profile)).to_jsonl();
+        let line = record(&query(), &snap, Some(&profile)).to_jsonl();
         validate(&line).unwrap();
         let v = Json::parse(line.trim()).unwrap();
         let ops = v.get("profile").unwrap().get("ops").unwrap();
@@ -222,7 +221,7 @@ mod tests {
         assert!(validate("not json").is_err());
         assert!(validate("{}").is_err());
         let snap = snapshot();
-        let good = record(&snap, None).to_jsonl();
+        let good = record(&query(), &snap, None).to_jsonl();
         let bad = good.replace("\"wall_ms\": 7", "\"wall_ms\": \"7\"");
         assert!(validate(&bad).is_err());
         let bad = good.replace("\"progress\"", "\"progresz\"");
@@ -232,7 +231,7 @@ mod tests {
     #[test]
     fn multi_line_logs_validate_with_line_numbers() {
         let snap = snapshot();
-        let line = record(&snap, None).to_jsonl();
+        let line = record(&query(), &snap, None).to_jsonl();
         let contents = format!("{line}\n{line}");
         assert_eq!(validate_lines(&contents), Ok(2));
         let broken = format!("{line}{{\"nope\": 1}}\n");

@@ -52,7 +52,8 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use nra::{Database, Engine, NraError, QueryOptions, Session, Strategy};
+use nra::engine::config::Config;
+use nra::{Database, Engine, QueryOptions, Session, Strategy};
 
 /// Default wake-up cadence for blocked socket readers, in milliseconds.
 const DEFAULT_POLL_MS: u64 = 100;
@@ -60,21 +61,14 @@ const DEFAULT_POLL_MS: u64 = 100;
 /// How often a blocked reader wakes up — to check the shutdown flag on
 /// the server side, or to re-poll the socket in [`Client`]. Bounds
 /// shutdown latency; invisible on the wire otherwise. Configurable via
-/// the `NRA_SERVER_POLL_MS` environment variable; a malformed or zero
-/// value is an `InvalidInput` error (from [`serve`] and
-/// [`Client::connect`]), not a silent fallback.
+/// `NRA_SERVER_POLL_MS`; a malformed configuration is an `InvalidInput`
+/// error (from [`serve`] and [`Client::connect`]), not a silent fallback.
 fn poll_interval() -> io::Result<Duration> {
-    let raw = match std::env::var("NRA_SERVER_POLL_MS") {
-        Err(_) => return Ok(Duration::from_millis(DEFAULT_POLL_MS)),
-        Ok(v) => v,
-    };
-    match raw.trim().parse::<u64>() {
-        Ok(ms) if ms > 0 => Ok(Duration::from_millis(ms)),
-        _ => Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("invalid NRA_SERVER_POLL_MS=`{raw}`: must be a positive millisecond count"),
-        )),
-    }
+    let config = Config::from_env()
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
+    Ok(Duration::from_millis(
+        config.server_poll_ms.unwrap_or(DEFAULT_POLL_MS),
+    ))
 }
 
 // ---------------------------------------------------------------------
@@ -118,16 +112,6 @@ fn unescape(field: &str) -> String {
         }
     }
     out
-}
-
-/// The error label on the wire: the same taxonomy the metrics registry
-/// uses for `nra_errors_total{variant=...}`.
-fn error_kind(e: &NraError) -> &'static str {
-    match e {
-        NraError::Sql(_) => "sql",
-        NraError::Storage(_) => "storage",
-        NraError::Engine(e) => e.variant_name(),
-    }
 }
 
 /// A parsed `ok` response: column names plus stringified rows.
@@ -362,21 +346,21 @@ impl Connection {
                     Some((stmt, sql)) if !sql.trim().is_empty() => {
                         match self.session.prepare(stmt, sql.trim()) {
                             Ok(()) => self.ok_empty(),
-                            Err(e) => self.err(error_kind(&e), &e.to_string()),
+                            Err(e) => self.err(e.kind(), &e.to_string()),
                         }
                     }
                     _ => self.err("protocol", ".prepare takes a name and a statement"),
                 },
                 "exec" => match self.session.execute_prepared(args) {
                     Ok(out) => self.ok_outcome(&out),
-                    Err(e) => self.err(error_kind(&e), &e.to_string()),
+                    Err(e) => self.err(e.kind(), &e.to_string()),
                 },
                 other => self.err("protocol", &format!("unknown command `.{other}`")),
             }
         } else {
             match self.session.execute(line) {
                 Ok(out) => self.ok_outcome(&out),
-                Err(e) => self.err(error_kind(&e), &e.to_string()),
+                Err(e) => self.err(e.kind(), &e.to_string()),
             }
         }
     }

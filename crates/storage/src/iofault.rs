@@ -2,9 +2,10 @@
 //!
 //! The engine-side harness (`nra_engine::faultinject`) covers in-memory
 //! operator sites; this module covers the storage-side I/O sites that the
-//! crash-recovery harness exercises. It reuses the same `NRA_FAULT`
-//! grammar — `site:nth[:kind[:ms]]`, comma-separated — with its own site
-//! and kind vocabulary:
+//! crash-recovery harness exercises. Both share the `NRA_FAULT` grammar —
+//! `site:nth[:kind[:ms]]`, comma-separated — whose one parser
+//! (`nra_engine::config::parse_faults`) routes each entry by site. This
+//! harness's vocabulary:
 //!
 //! * sites: `wal-append`, `wal-fsync`, `checkpoint-write`,
 //!   `snapshot-rename`
@@ -12,11 +13,10 @@
 //!   (the process "dies" before the bytes land), `io-error` (a transient
 //!   failure with no on-disk effect), `delay` (sleep `ms`, then succeed)
 //!
-//! Entries naming engine sites or engine kinds are ignored here (and vice
-//! versa), so one `NRA_FAULT` value can arm both harnesses. Tests install
-//! a plan thread-locally via [`install`] so parallel tests cannot see each
-//! other's faults; the process-wide `NRA_FAULT` fallback (parsed once) is
-//! what CLI/CI smokes use.
+//! Tests install a plan thread-locally via [`install`] so parallel tests
+//! cannot see each other's faults. The process-wide plan that CLI/CI
+//! smokes use is armed by `Database::open` from `NRA_FAULT` through
+//! [`arm_process`] (this crate cannot read the engine's configuration).
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -46,20 +46,6 @@ pub enum IoFaultKind {
     IoError,
     /// Sleep for the given milliseconds, then proceed normally.
     Delay(u64),
-}
-
-impl IoFaultKind {
-    fn parse(kind: &str, ms: Option<&str>) -> Option<IoFaultKind> {
-        match (kind, ms) {
-            ("short-write", None) => Some(IoFaultKind::ShortWrite),
-            ("crash", None) => Some(IoFaultKind::Crash),
-            ("io-error", None) => Some(IoFaultKind::IoError),
-            ("delay", ms) => Some(IoFaultKind::Delay(
-                ms.and_then(|m| m.parse().ok()).unwrap_or(10),
-            )),
-            _ => None,
-        }
-    }
 }
 
 /// The observable failure returned to the I/O call site when a fault
@@ -97,36 +83,6 @@ impl IoFaultPlan {
         });
     }
 
-    /// Parse the `NRA_FAULT` grammar, keeping only entries whose site is
-    /// one of [`IO_SITES`] and whose kind is an I/O kind. Anything else
-    /// is ignored here — `nra_engine::config::validate_env` is the strict
-    /// gate that rejects genuinely malformed specs up front.
-    pub fn parse(spec: &str) -> IoFaultPlan {
-        let mut plan = IoFaultPlan::default();
-        for entry in spec.split(',') {
-            let entry = entry.trim();
-            if entry.is_empty() {
-                continue;
-            }
-            let mut parts = entry.split(':');
-            let (site, nth, kind, ms) = (parts.next(), parts.next(), parts.next(), parts.next());
-            let (Some(site), Some(nth)) = (site, nth) else {
-                continue;
-            };
-            if !IO_SITES.contains(&site) {
-                continue;
-            }
-            let Ok(nth) = nth.parse::<u64>() else {
-                continue;
-            };
-            let Some(kind) = IoFaultKind::parse(kind.unwrap_or("io-error"), ms) else {
-                continue;
-            };
-            plan.push(site, nth, kind);
-        }
-        plan
-    }
-
     pub fn is_empty(&self) -> bool {
         self.specs.is_empty()
     }
@@ -158,7 +114,16 @@ thread_local! {
     static LOCAL: RefCell<Option<Arc<IoFaultPlan>>> = const { RefCell::new(None) };
 }
 
-static FROM_ENV: OnceLock<Option<Arc<IoFaultPlan>>> = OnceLock::new();
+static PROCESS: OnceLock<IoFaultPlan> = OnceLock::new();
+
+/// Arm `plan` for every thread of the process. The first non-empty plan
+/// wins and stays armed (its hit counters are never reset), so a process
+/// that reopens its database keeps counting from where it was.
+pub fn arm_process(plan: IoFaultPlan) {
+    if !plan.is_empty() {
+        let _ = PROCESS.set(plan);
+    }
+}
 
 /// Arm `plan` for the current thread; disarmed when the guard drops.
 pub fn install(plan: IoFaultPlan) -> IoFaultGuard {
@@ -180,7 +145,7 @@ impl Drop for IoFaultGuard {
 
 /// Probe an I/O fault site. Returns the failure to simulate, or `None`
 /// to proceed normally. The thread-local plan (tests) takes precedence;
-/// otherwise the process-wide plan parsed once from `NRA_FAULT` applies.
+/// otherwise the process-wide plan from [`arm_process`] applies.
 pub fn hit(site: &str) -> Option<IoFailure> {
     if let Some(f) = LOCAL
         .with(|l| l.borrow().clone())
@@ -188,34 +153,12 @@ pub fn hit(site: &str) -> Option<IoFailure> {
     {
         return Some(f);
     }
-    FROM_ENV
-        .get_or_init(|| {
-            std::env::var("NRA_FAULT")
-                .ok()
-                .map(|s| IoFaultPlan::parse(&s))
-                .filter(|p| !p.is_empty())
-                .map(Arc::new)
-        })
-        .as_ref()
-        .and_then(|p| p.observe(site))
+    PROCESS.get().and_then(|p| p.observe(site))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parse_keeps_io_entries_only() {
-        let plan = IoFaultPlan::parse(
-            "join-build:1:panic,wal-append:2:short-write,wal-fsync:1:alloc,\
-             checkpoint-write:1:io-error,snapshot-rename:1:crash,wal-append:1:delay:5,bogus",
-        );
-        assert_eq!(plan.specs.len(), 4);
-        assert_eq!(plan.specs[0].site, WAL_APPEND);
-        assert_eq!(plan.specs[0].nth, 2);
-        assert_eq!(plan.specs[0].kind, IoFaultKind::ShortWrite);
-        assert_eq!(plan.specs[3].kind, IoFaultKind::Delay(5));
-    }
 
     #[test]
     fn nth_counting_fires_once() {

@@ -28,6 +28,7 @@
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
+use nra_engine::config::Config;
 use nra_engine::EngineError;
 use nra_obs::metrics;
 use nra_storage::disk;
@@ -108,19 +109,6 @@ fn io_nra(context: &str, e: std::io::Error) -> NraError {
     NraError::Storage(StorageError::Io(format!("{context}: {e}")))
 }
 
-fn checkpoint_every_from_env() -> Result<u64, NraError> {
-    match std::env::var("NRA_CHECKPOINT_EVERY") {
-        Err(_) => Ok(DEFAULT_CHECKPOINT_EVERY),
-        Ok(v) => v.trim().parse::<u64>().map_err(|_| {
-            NraError::Engine(EngineError::Config {
-                var: "NRA_CHECKPOINT_EVERY".into(),
-                value: v.clone(),
-                detail: "must be a record count (0 disables automatic checkpoints)".into(),
-            })
-        }),
-    }
-}
-
 /// Apply one replayed record to the recovering catalog. Records passed
 /// validation before they were logged, so a failure here means the log
 /// and snapshot disagree — corruption, not a user error.
@@ -151,8 +139,13 @@ impl Database {
     /// with a structured [`EngineError::Corruption`]. The schema version
     /// is restored to the last applied LSN.
     pub fn open(path: impl AsRef<Path>) -> Result<Database, NraError> {
-        nra_engine::config::validate_env().map_err(NraError::Engine)?;
-        let checkpoint_every = checkpoint_every_from_env()?;
+        // A malformed configuration refuses the open before anything
+        // touches the disk. The storage crate cannot read the engine's
+        // configuration, so the `NRA_FAULT` I/O entries are handed to it
+        // here.
+        let config = Config::from_env()?;
+        nra_storage::iofault::arm_process(config.fault_plans().1);
+        let checkpoint_every = config.checkpoint_every.unwrap_or(DEFAULT_CHECKPOINT_EVERY);
         let dir = path.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir).map_err(|e| io_nra("create db directory", e))?;
 
@@ -214,6 +207,7 @@ impl Database {
             catalog,
             last_lsn,
             Some(Mutex::new(durability)),
+            config.admission(),
         ))
     }
 

@@ -58,6 +58,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 mod durable;
+mod lifecycle;
 mod plancache;
 mod session;
 mod sys;
@@ -73,6 +74,7 @@ pub use nra_storage as storage;
 pub use nra_tpch as tpch;
 
 pub use nra_core::Strategy;
+use nra_engine::config::Config;
 pub use nra_engine::{AdmissionConfig, AdmissionController, CancelToken, FaultKind};
 use nra_engine::{EngineError, FaultPlan, Governor};
 use nra_sql::{BoundQuery, SqlError};
@@ -102,6 +104,21 @@ pub enum NraError {
     Storage(StorageError),
     Sql(SqlError),
     Engine(EngineError),
+}
+
+impl NraError {
+    /// The error's kind — the one outcome vocabulary. It labels the
+    /// query record (`nra_sys.queries.outcome`, the slow log,
+    /// `Profile::outcome`), the `nra_queries_total{outcome}` and
+    /// `nra_errors_total{variant}` metrics, and the server's `err <kind>`
+    /// line: `"sql"`, `"storage"`, or the engine error's variant name.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            NraError::Sql(_) => "sql",
+            NraError::Storage(_) => "storage",
+            NraError::Engine(e) => e.variant_name(),
+        }
+    }
 }
 
 impl fmt::Display for NraError {
@@ -307,37 +324,26 @@ impl QueryOptions {
     }
 
     /// Opt this call in or out of the process-wide plan cache (bound
-    /// plans keyed on normalized SQL; see `DESIGN.md` §15). Unset, the
-    /// `NRA_PLAN_CACHE` environment variable decides (`0`/`off`/`false`
-    /// disables), and the default is **on** — repeats of a statement
-    /// skip the parser and binder until a catalog write invalidates
-    /// them. Results are identical either way; only plan reuse changes.
+    /// plans keyed on normalized SQL; see `DESIGN.md` §15). The default
+    /// is **on** — repeats of a statement skip the parser and binder
+    /// until a catalog write invalidates them. Results are identical
+    /// either way; only plan reuse changes.
     pub fn plan_cache(mut self, on: bool) -> QueryOptions {
         self.plan_cache = Some(on);
         self
     }
 
-    /// Cache policy resolution: explicit option > `NRA_PLAN_CACHE` >
-    /// on. Introspection calls never use the cache (their overlay
-    /// databases are transient).
+    /// Cache policy: the explicit option, else on. Introspection calls
+    /// never use the cache (their overlay databases are transient).
     fn plan_cache_enabled(&self) -> bool {
-        if self.introspection {
-            return false;
-        }
-        match self.plan_cache {
-            Some(on) => on,
-            None => !matches!(
-                std::env::var("NRA_PLAN_CACHE").as_deref().map(str::trim),
-                Ok("0") | Ok("off") | Ok("false")
-            ),
-        }
+        !self.introspection && self.plan_cache.unwrap_or(true)
     }
 
-    /// The [`Governor`] these options describe (environment overlays
-    /// included); `None` when nothing is armed.
-    fn governor(&self) -> Option<Governor> {
+    /// The [`Governor`] these options describe over the configured
+    /// `NRA_MEM_LIMIT` / `NRA_FAULT`; `None` when nothing is armed.
+    fn governor(&self, config: &Config) -> Option<Governor> {
         let mut gov = Governor::new();
-        if let Some(bytes) = self.mem_limit_bytes {
+        if let Some(bytes) = self.mem_limit_bytes.or(config.mem_limit) {
             gov = gov.mem_limit(bytes);
         }
         if let Some(ms) = self.timeout_ms {
@@ -346,14 +352,14 @@ impl QueryOptions {
         if let Some(token) = &self.cancel {
             gov = gov.cancel_token(token.clone());
         }
-        if !self.faults.is_empty() {
-            let mut plan = FaultPlan::default();
-            for (site, nth, kind) in &self.faults {
-                plan.push(site.clone(), *nth, *kind);
-            }
-            gov = gov.faults(plan);
+        let mut plan = FaultPlan::default();
+        for (site, nth, kind) in &self.faults {
+            plan.push(site.clone(), *nth, *kind);
         }
-        let gov = gov.with_env();
+        if plan.is_empty() {
+            plan = config.fault_plans().0;
+        }
+        let gov = gov.faults(plan);
         gov.is_armed().then_some(gov)
     }
 }
@@ -382,6 +388,22 @@ pub struct QueryOutcome {
     /// `explain_only`, `ANALYZE` and introspection (`nra_sys.*`) calls,
     /// which skip progress tracking.
     pub progress: Option<obs::progress::ProgressSnapshot>,
+}
+
+impl QueryOutcome {
+    /// The outcome of a statement answered by plan text alone
+    /// (`EXPLAIN`, `ANALYZE`).
+    fn plan_only(plan: String, threads: usize) -> QueryOutcome {
+        QueryOutcome {
+            rows: Relation::new(Schema::new(Vec::new())),
+            plan: Some(plan),
+            profile: None,
+            metrics: None,
+            trace: None,
+            threads,
+            progress: None,
+        }
+    }
 }
 
 /// Process-unique database ids, used as the first component of every
@@ -522,8 +544,11 @@ impl Database {
 
     /// Wrap an existing catalog (e.g. one produced by
     /// [`tpch::generate`]).
+    ///
+    /// The admission limits come from the ambient configuration
+    /// (`nra_engine::config::ambient`).
     pub fn from_catalog(catalog: Catalog) -> Database {
-        Database::assemble(catalog, 0, None)
+        Database::assemble(catalog, 0, None, engine::config::ambient().admission())
     }
 
     /// Common constructor behind [`Database::from_catalog`] and
@@ -533,15 +558,14 @@ impl Database {
         catalog: Catalog,
         version: u64,
         durable: Option<Mutex<durable::Durability>>,
+        admission: AdmissionConfig,
     ) -> Database {
         Database {
             shared: Arc::new(DbShared {
                 id: next_db_id(),
                 catalog: RwLock::new(catalog),
                 version: AtomicU64::new(version),
-                admission: Mutex::new(Arc::new(AdmissionController::new(
-                    AdmissionConfig::default().with_env(),
-                ))),
+                admission: Mutex::new(Arc::new(AdmissionController::new(admission))),
                 next_session: AtomicU64::new(1),
                 durable,
             }),
@@ -591,8 +615,8 @@ impl Database {
     /// (concurrency cap, aggregate memory reservations, queue timeout).
     /// In-flight permits stay with the controller that issued them; new
     /// queries see `config`. The default controller comes from the
-    /// `NRA_MAX_CONCURRENT` / `NRA_ADMISSION_MEM` /
-    /// `NRA_ADMISSION_TIMEOUT_MS` environment (unlimited when unset).
+    /// configured `NRA_MAX_CONCURRENT` / `NRA_ADMISSION_MEM` /
+    /// `NRA_ADMISSION_TIMEOUT_MS` (unlimited when unset).
     pub fn set_admission(&self, config: AdmissionConfig) {
         let controller = Arc::new(AdmissionController::new(config));
         *self
@@ -699,8 +723,12 @@ impl Database {
     /// profile collector or tracer already installed on this thread is
     /// replaced when the corresponding option is set, and both are left
     /// disabled on return. Under [`QueryOptions::collect_trace`] the
-    /// environment sinks also apply (`NRA_TRACE=1` mirrors to stderr,
+    /// configured sinks also apply (`NRA_TRACE=1` mirrors to stderr,
     /// `NRA_TRACE_FILE=path` appends JSONL).
+    ///
+    /// Every statement reads one snapshot of the `NRA_*` environment
+    /// (`nra_engine::config`); a malformed variable fails it with
+    /// [`engine::EngineError::Config`].
     ///
     /// This is the one-shot path: it is a thin wrapper over a transient
     /// [`Session`] (id 0). Multi-statement clients should hold a real
@@ -708,406 +736,6 @@ impl Database {
     /// plus per-session defaults and prepared statements.
     pub fn execute(&self, sql: &str, options: &QueryOptions) -> Result<QueryOutcome, NraError> {
         Session::one_shot(self).execute_with(sql, options)
-    }
-
-    /// The real entry point behind [`Database::execute`] and
-    /// [`Session::execute_with`]; `options.session` is already stamped.
-    pub(crate) fn execute_inner(
-        &self,
-        sql: &str,
-        options: &QueryOptions,
-    ) -> Result<QueryOutcome, NraError> {
-        // Strict configuration gate: a malformed NRA_FAULT /
-        // NRA_MEM_LIMIT / NRA_BATCH_ROWS is an error up front, not a
-        // setting that silently arms nothing.
-        engine::config::validate_env().map_err(NraError::Engine)?;
-        let _budget = options
-            .threads
-            .map(|n| nra_engine::exec::set_threads(Some(n)));
-        let threads = nra_engine::exec::threads();
-
-        // `ANALYZE <table>` is a catalog statement, not a query: gather
-        // column statistics (NDV, null counts) for the planner's
-        // cardinality estimator and return the summary as plan text.
-        if let Some(table) = nra_sql::parse_analyze(sql)? {
-            return self.run_analyze(&table, threads);
-        }
-
-        // A query touching the reserved `nra_sys` schema is answered by
-        // re-running it against an overlay catalog of materialized
-        // system-table snapshots — through this same entry point, with
-        // the introspection flag set so it never registers itself.
-        if !options.introspection && sys::mentions_sys(sql) {
-            if let Some(result) = sys::dispatch(self, sql, options) {
-                return result;
-            }
-        }
-
-        if options.explain_only {
-            return Ok(QueryOutcome {
-                rows: Relation::new(Schema::new(Vec::new())),
-                plan: Some(self.explain_text(&self.catalog(), sql)?),
-                profile: None,
-                metrics: None,
-                trace: None,
-                threads,
-                progress: None,
-            });
-        }
-
-        // Admission: the gate sits before any per-query state exists —
-        // a refused query never registers, traces or profiles, it just
-        // returns `EngineError::Admission`. The permit is RAII-held for
-        // the rest of the call, releasing its concurrency slot and
-        // memory reservation on every exit path. Metadata paths above
-        // (EXPLAIN, ANALYZE, introspection) bypass the gate: inspecting
-        // a saturated database must itself never queue.
-        let mem_reserve = options.mem_limit_bytes.or_else(env_mem_limit).unwrap_or(0);
-        let _permit = self
-            .admission()
-            .admit(mem_reserve)
-            .map_err(NraError::Engine)?;
-
-        // One shared-read catalog guard for the whole query: every
-        // planning and execution step below sees the same catalog
-        // snapshot, concurrent readers on other handles proceed in
-        // parallel, and catalog writers wait for the drain.
-        let cat_guard = self.catalog();
-        let cat: &Catalog = &cat_guard;
-
-        use nra_obs::metrics;
-        use nra_obs::trace::{self, TraceEvent};
-
-        // Per-query metrics scope: a fresh registry installed on this
-        // thread (and handed to every worker through the observability
-        // handoff). The process-cumulative registry keeps accumulating
-        // regardless.
-        let metrics_env = std::env::var("NRA_METRICS").ok().filter(|p| !p.is_empty());
-        let query_metrics = (options.collect_metrics || metrics_env.is_some())
-            .then(|| std::sync::Arc::new(metrics::Registry::new()));
-        let _metrics_guard = metrics::install_query(query_metrics.clone());
-
-        let trace_handle = if options.collect_trace {
-            let (ring, handle) = trace::RingSink::with_capacity(4096);
-            let mut sinks: Vec<Box<dyn trace::TraceSink>> = vec![Box::new(ring)];
-            sinks.extend(trace::env_sinks());
-            trace::start(sinks);
-            trace::emit(|| TraceEvent::QueryStart {
-                sql: sql.to_string(),
-            });
-            Some(handle)
-        } else {
-            None
-        };
-        let started = std::time::Instant::now();
-
-        // Live progress + process-wide registry: install a progress
-        // estimator on this thread (propagated to workers through the
-        // observability handoff) and publish the query in the running
-        // table. The governor's row-checkpoint cadence feeds it, so the
-        // bookkeeping is batch-amortized — operator counters are
-        // untouched and stay byte-identical.
-        let progress = (!options.introspection)
-            .then(|| std::sync::Arc::new(obs::progress::ProgressState::new()));
-        let _progress_guard = obs::progress::install(progress.clone());
-        let query_id = progress
-            .as_ref()
-            .map(|p| obs::queryreg::global().register(sql, p.clone()));
-
-        // Per-operator stats feed `outcome.profile`, the derived per-query
-        // metrics, and the Q-error actuals behind the trace's
-        // `qerror_summary` event, so the collector runs when any of the
-        // three is wanted.
-        let want_profile =
-            options.collect_profile || query_metrics.is_some() || options.collect_trace;
-        if want_profile {
-            nra_obs::enable();
-        }
-        let own_io = options.simulate_io && !storage::iosim::is_enabled();
-        if own_io {
-            storage::iosim::enable(storage::iosim::IoConfig::default());
-        }
-
-        // Arm the query governor (memory budget / cancellation / fault
-        // plan) for the duration of the call; ungoverned queries skip the
-        // installation entirely. The catch_unwind backstop turns any panic
-        // that escapes the worker harness (e.g. an injected coordinator
-        // panic) into a structured error — the unwind runs the scope
-        // guards, so observability teardown below still balances.
-        let gov_arc = options.governor().map(std::sync::Arc::new);
-        let gov_guard = engine::governor::install(gov_arc.clone());
-        // One checkpoint before any work: an already-cancelled token or a
-        // zero timeout stops even queries whose plans never reach an
-        // instrumented operator loop (e.g. a bare filtered scan).
-        let result = engine::governor::checkpoint("query-start")
-            .map_err(NraError::Engine)
-            .and_then(|()| {
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    self.run_statements(cat, sql, options)
-                }))
-                .unwrap_or_else(|payload| {
-                    let message = payload
-                        .downcast_ref::<&str>()
-                        .map(|s| (*s).to_string())
-                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "non-string panic payload".to_string());
-                    Err(NraError::Engine(EngineError::WorkerPanicked {
-                        site: "query".to_string(),
-                        message,
-                    }))
-                })
-            });
-
-        let mut profile = if want_profile {
-            nra_obs::disable()
-        } else {
-            None
-        };
-        if let Some(p) = &mut profile {
-            p.outcome = Some(
-                match &result {
-                    Ok(_) => "ok",
-                    Err(NraError::Engine(EngineError::Cancelled { .. })) => "cancelled",
-                    Err(NraError::Engine(EngineError::ResourceExhausted { .. })) => {
-                        "resource-exhausted"
-                    }
-                    Err(NraError::Engine(EngineError::WorkerPanicked { .. })) => "worker-panicked",
-                    Err(_) => "error",
-                }
-                .to_string(),
-            );
-            p.threads = threads;
-        }
-        if own_io {
-            storage::iosim::disable();
-        }
-
-        // Governor teardown: dropping the guard flushes worker-pending
-        // charges into the governor, after which `mem_used()` is the
-        // query's memory high-water mark. Publish it as a trace event and
-        // a process-level gauge so the two always agree. (It stays out of
-        // the per-query scope: charge interleaving makes the peak
-        // scheduling-dependent.)
-        drop(gov_guard);
-        if let Some(gov) = &gov_arc {
-            let hw = gov.mem_used();
-            trace::emit(|| TraceEvent::Governor {
-                action: "mem-high-water".to_string(),
-                detail: format!("{hw} bytes"),
-            });
-            metrics::global().gauge_max("nra_query_mem_high_water_bytes", &[], hw);
-        }
-
-        // Cardinality feedback: planner estimates vs. measured actuals,
-        // summarized as the per-node Q-error (×100; 100 = perfect).
-        let estimates = match (&profile, &result) {
-            (Some(_), Ok((_, Some(bound)))) => Some(nra_core::estimate(bound, cat)),
-            _ => None,
-        };
-        let mut qerror_max_x100 = 0;
-        if let (Some(p), Some(est)) = (&profile, &estimates) {
-            let mut qerrs = Vec::new();
-            for (key, e) in est.iter() {
-                if let Some(act) = merged_rows_out(p, key) {
-                    qerrs.push(nra_core::qerror_x100(e, act));
-                }
-            }
-            if !qerrs.is_empty() {
-                let max_x100 = qerrs.iter().copied().max().unwrap_or(100);
-                let mean_x100 = qerrs.iter().sum::<u64>() / qerrs.len() as u64;
-                let nodes = qerrs.len();
-                qerror_max_x100 = max_x100;
-                trace::emit(|| TraceEvent::QErrorSummary {
-                    nodes,
-                    max_x100,
-                    mean_x100,
-                });
-                metrics::both(|m| {
-                    for q in &qerrs {
-                        m.observe("nra_qerror_x100", &[], *q);
-                    }
-                });
-            }
-        }
-
-        // Query-level counters, recorded in both scopes. Everything here
-        // is derived from the merged profile or the result, never from
-        // scheduling, so the per-query scope stays thread-invariant.
-        let outcome_label = match &result {
-            Ok(_) => "ok",
-            Err(NraError::Engine(e)) => e.variant_name(),
-            Err(NraError::Storage(_)) => "storage",
-            Err(NraError::Sql(_)) => "sql",
-        };
-        metrics::both(|m| m.counter_add("nra_queries_total", &[("outcome", outcome_label)], 1));
-        if result.is_err() {
-            metrics::both(|m| m.counter_add("nra_errors_total", &[("variant", outcome_label)], 1));
-        }
-        if let Ok((rel, _)) = &result {
-            let produced = rel.len() as u64;
-            metrics::both(|m| m.counter_add("nra_rows_produced_total", &[], produced));
-        }
-        if let Some(p) = &profile {
-            metrics::both(|m| record_op_metrics(m, p));
-        }
-
-        // Final progress + registry completion: force the snapshot to
-        // 100% with the profile's row totals as the processed count
-        // (the governor-cadence ticks undercount by design), then move
-        // the query from the running table into the completed ring.
-        let wall_ms = started.elapsed().as_millis() as u64;
-        let result_rows = match &result {
-            Ok((rel, _)) => rel.len() as u64,
-            Err(_) => 0,
-        };
-        let mem_high_water = gov_arc.as_ref().map(|g| g.mem_used()).unwrap_or(0);
-        let strategy = strategy_label(
-            options.engine,
-            result.as_ref().ok().and_then(|(_, b)| b.as_ref()),
-        );
-        if let Some(p) = &progress {
-            p.raise_mem(mem_high_water);
-            let processed = profile
-                .as_ref()
-                .map(|pr| pr.ops.iter().map(|(_, s)| s.rows_in).sum::<u64>())
-                .unwrap_or(0);
-            p.finish(
-                processed,
-                if result.is_ok() {
-                    "done"
-                } else {
-                    outcome_label
-                },
-            );
-        }
-        if let Some(id) = query_id {
-            obs::queryreg::global().complete(obs::queryreg::QueryRecord {
-                id,
-                sql: obs::queryreg::normalize_sql(sql),
-                outcome: outcome_label.to_string(),
-                wall_ms,
-                rows: result_rows,
-                threads: threads as u64,
-                qerror_x100: qerror_max_x100,
-                mem_bytes: mem_high_water,
-                strategy: strategy.to_string(),
-                session: options.session,
-            });
-        }
-
-        let trace = trace_handle.map(|handle| {
-            if let Ok((rel, _)) = &result {
-                let rows = rel.len() as u64;
-                trace::emit(|| TraceEvent::QueryEnd {
-                    rows,
-                    wall_ns: started.elapsed().as_nanos() as u64,
-                });
-            }
-            trace::stop();
-            handle.take()
-        });
-
-        // Snapshot the per-query scope (it is torn down when
-        // `_metrics_guard` drops) and feed the environment sink, on the
-        // error path too — failed queries are exactly when telemetry
-        // matters.
-        let metrics_snapshot = query_metrics.as_ref().map(|r| r.snapshot());
-        if let (Some(path), Some(snap)) = (&metrics_env, &metrics_snapshot) {
-            use std::io::Write;
-            let _ = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(path)
-                .and_then(|mut f| f.write_all(snap.to_jsonl().as_bytes()));
-        }
-
-        // Slow-query log: threshold from the options or `NRA_SLOW_MS`
-        // (`0` logs everything). Failed queries are logged too, without
-        // plan text — they are exactly when the record matters.
-        let slow_threshold = options.slow_ms.or_else(obs::slowlog::env_threshold_ms);
-        let slow = progress.is_some() && slow_threshold.is_some_and(|t| wall_ms >= t);
-        if slow {
-            metrics::both(|m| m.counter_add("nra_slow_queries_total", &[], 1));
-        }
-        let slow_path = slow
-            .then(|| {
-                options
-                    .slow_log
-                    .clone()
-                    .or_else(|| obs::slowlog::env_log_path().map(Into::into))
-            })
-            .flatten();
-        let emit_slow = |plan: Option<&str>, log_profile: Option<&obs::Profile>| {
-            let (Some(path), Some(p)) = (&slow_path, &progress) else {
-                return;
-            };
-            let statement = obs::queryreg::normalize_sql(sql);
-            let snapshot = p.snapshot();
-            let record = obs::slowlog::SlowRecord {
-                statement: &statement,
-                outcome: outcome_label,
-                wall_ms,
-                threads: threads as u64,
-                rows: result_rows,
-                strategy,
-                mem_bytes: mem_high_water,
-                plan,
-                profile: log_profile,
-                progress: &snapshot,
-            };
-            use std::io::Write;
-            let _ = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(path)
-                .and_then(|mut f| f.write_all(record.to_jsonl().as_bytes()));
-        };
-
-        let (rows, bound) = match result {
-            Ok(v) => v,
-            Err(e) => {
-                emit_slow(None, profile.as_ref());
-                return Err(e);
-            }
-        };
-        let log_profile = profile.clone();
-        let profile = profile.filter(|_| options.collect_profile);
-
-        // The analyzed plan is rendered only when the executed pipeline
-        // matches the textbook operator tree node for node: Algorithm 1
-        // (the two-pass original strategy) on a single statement. Other
-        // strategies fuse or reorder operators away from the tree.
-        let plan = match (&profile, &bound, options.engine) {
-            (Some(p), Some(b), Engine::NestedRelational(Strategy::Original)) => {
-                let tree = nra_core::TreeExpr::build(b);
-                let mut out = tree.render_plan_analyzed_with_estimates(p, estimates.as_ref());
-                out.push_str(&format!(
-                    "-- {} row(s); total operator time {:.3} ms\n",
-                    rows.len(),
-                    p.total_wall_ns() as f64 / 1e6
-                ));
-                if let Some(io) = &p.io {
-                    out.push_str(&format!(
-                        "-- io: {} sequential page(s), {} random hit(s), {} random miss(es)\n",
-                        io.seq_pages, io.rand_hits, io.rand_misses
-                    ));
-                }
-                Some(out)
-            }
-            _ => None,
-        };
-
-        emit_slow(plan.as_deref(), log_profile.as_ref());
-
-        Ok(QueryOutcome {
-            rows,
-            plan,
-            profile,
-            metrics: metrics_snapshot,
-            trace,
-            threads,
-            progress: progress.as_ref().map(|p| p.snapshot()),
-        })
     }
 
     /// `ANALYZE <table>`: recompute per-column statistics (distinct-value
@@ -1136,43 +764,29 @@ impl Database {
                 col.name, col.ndv, col.null_count
             ));
         }
-        Ok(QueryOutcome {
-            rows: Relation::new(Schema::new(Vec::new())),
-            plan: Some(plan),
-            profile: None,
-            metrics: None,
-            trace: None,
-            threads,
-            progress: None,
-        })
+        Ok(QueryOutcome::plan_only(plan, threads))
     }
 
-    /// Parse and run a full (possibly compound) query through the
-    /// engine in `options`, returning the result and — for
-    /// single-statement queries — the bound form of the statement for
-    /// plan rendering.
+    /// Parse and run a full (possibly compound) query through `engine`,
+    /// returning the result and — for single-statement queries — the
+    /// bound form of the statement for plan rendering.
     ///
-    /// Repeat statements are answered from the process-wide plan cache
-    /// (keyed on this database's id plus the normalized SQL, valid
-    /// while the schema version matches): a hit skips the parser and
-    /// binder entirely. Cache counters live in the global metrics
-    /// scope only — whether a statement hits depends on process
-    /// history, which must not leak into the thread-invariant per-query
-    /// snapshot.
+    /// With a `cache_key` (the normalized statement), repeats are
+    /// answered from the process-wide plan cache (keyed on this
+    /// database's id plus the key, valid while the schema version
+    /// matches): a hit skips the parser and binder entirely. Cache
+    /// counters live in the global metrics scope only — whether a
+    /// statement hits depends on process history, which must not leak
+    /// into the thread-invariant per-query snapshot.
     fn run_statements(
         &self,
         cat: &Catalog,
         sql: &str,
-        options: &QueryOptions,
+        cache_key: Option<&str>,
+        engine: Engine,
     ) -> Result<(Relation, Option<BoundQuery>), NraError> {
-        let engine = options.engine;
         let version = self.shared.version.load(Ordering::SeqCst);
-        let cache_key = options
-            .plan_cache_enabled()
-            .then(|| nra_sql::normalize::normalize(sql));
-        let cached = cache_key
-            .as_deref()
-            .and_then(|key| plancache::lookup(self.shared.id, version, key));
+        let cached = cache_key.and_then(|key| plancache::lookup(self.shared.id, version, key));
         let hit = cached.is_some();
         let (query, bound_first, bound_rest) = match cached {
             Some(plan) => {
@@ -1197,7 +811,7 @@ impl Database {
             plancache::insert(
                 self.shared.id,
                 version,
-                key,
+                key.to_string(),
                 plancache::CachedPlan {
                     query: query.clone(),
                     bound_first: bound_first.clone(),
@@ -1335,66 +949,6 @@ fn strategy_label(engine: Engine, bound: Option<&BoundQuery>) -> &'static str {
                 Strategy::BottomUp => "bottom-up",
                 Strategy::BottomUpPushdown => "bottom-up-pushdown",
                 Strategy::PositiveRewrite => "positive-rewrite",
-            }
-        }
-    }
-}
-
-/// Sum of `rows_out` over every profile entry matching `prefix` exactly
-/// or with a `[kind]` suffix (`b2/nest` matches `b2/nest[sort]`); `None`
-/// when nothing matched — the estimator may cover nodes an optimized
-/// pipeline fused away.
-/// `NRA_MEM_LIMIT`, parsed the same way the governor parses it — the
-/// admission controller reserves exactly the budget the query will run
-/// under.
-fn env_mem_limit() -> Option<u64> {
-    std::env::var("NRA_MEM_LIMIT")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-}
-
-fn merged_rows_out(profile: &obs::Profile, prefix: &str) -> Option<u64> {
-    let mut acc: Option<u64> = None;
-    for (name, stats) in &profile.ops {
-        let matches =
-            name == prefix || (name.starts_with(prefix) && name[prefix.len()..].starts_with('['));
-        if matches {
-            *acc.get_or_insert(0) += stats.rows_out;
-        }
-    }
-    acc
-}
-
-/// Project a merged profile into per-operator metric counters.
-///
-/// Wall times and partition counts stay out deliberately: every counter
-/// recorded here is identical at any thread count, which is what makes
-/// the per-query metrics scope deterministic.
-fn record_op_metrics(reg: &obs::metrics::Registry, profile: &obs::Profile) {
-    for (name, s) in &profile.ops {
-        let labels = [("op", name.as_str())];
-        reg.counter_add("nra_op_invocations_total", &labels, s.invocations);
-        reg.counter_add("nra_op_rows_in_total", &labels, s.rows_in);
-        reg.counter_add("nra_op_rows_out_total", &labels, s.rows_out);
-        if s.hash_entries > 0 {
-            reg.counter_add("nra_op_hash_entries_total", &labels, s.hash_entries);
-        }
-        if s.hash_bytes > 0 {
-            reg.counter_add("nra_op_hash_bytes_total", &labels, s.hash_bytes);
-        }
-        if s.nest_groups > 0 {
-            reg.counter_add("nra_op_nest_groups_total", &labels, s.nest_groups);
-        }
-        if s.padded > 0 {
-            reg.counter_add("nra_op_padded_total", &labels, s.padded);
-        }
-        for (count, outcome) in [(s.pass, "pass"), (s.fail, "fail"), (s.unknown, "unknown")] {
-            if count > 0 {
-                reg.counter_add(
-                    "nra_op_link_outcomes_total",
-                    &[("op", name.as_str()), ("outcome", outcome)],
-                    count,
-                );
             }
         }
     }

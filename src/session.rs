@@ -110,7 +110,7 @@ impl Session {
     ) -> Result<QueryOutcome, NraError> {
         let mut options = options.clone();
         options.session = self.id;
-        self.db.execute_inner(sql, &options)
+        crate::lifecycle::execute(&self.db, sql, &options)
     }
 
     /// Validate `sql` now — parse it, and bind every block against the

@@ -2,10 +2,9 @@
 //! environment is process-global, so these tests serialize behind one
 //! mutex and never run alongside other suites' processes).
 //!
-//! A malformed `NRA_FAULT` / `NRA_MEM_LIMIT` / `NRA_BATCH_ROWS` used to
-//! be silently ignored by the lenient runtime parsers; it is now a
-//! structured `EngineError::Config` from both query execution and
-//! `Database::open`.
+//! Every `NRA_*` variable is parsed strictly by one typed `Config`: a
+//! malformed value is a structured `EngineError::Config` naming the
+//! variable, from both query execution and `Database::open`.
 
 use std::sync::Mutex;
 
@@ -54,6 +53,11 @@ fn malformed_fault_spec_is_a_structured_error() {
         "join-build:x:panic",
         "wal-apend:1:crash",
         "join-build:1:explode",
+        // A kind the site's harness cannot fire arms nothing, so it is
+        // rejected rather than left dormant.
+        "join-build:1:crash",
+        "wal-append:1:panic",
+        "wal-append:1:alloc",
     ] {
         with_env(&[("NRA_FAULT", bad)], || {
             let err = db.execute("select a from t", &QueryOptions::new());
@@ -88,6 +92,22 @@ fn malformed_mem_limit_and_batch_rows_are_structured_errors() {
             "NRA_BATCH_ROWS",
         );
     });
+}
+
+#[test]
+fn every_variable_rejects_malformed_values() {
+    let db = test_db();
+    for (var, bad) in [
+        ("NRA_THREADS", "abc"),
+        ("NRA_SLOW_MS", "soon"),
+        ("NRA_MAX_CONCURRENT", "lots"),
+        ("NRA_ADMISSION_TIMEOUT_MS", "x"),
+        ("NRA_TRACE", "yes"),
+    ] {
+        with_env(&[(var, bad)], || {
+            expect_config(db.execute("select a from t", &QueryOptions::new()), var);
+        });
+    }
 }
 
 #[test]

@@ -338,10 +338,16 @@ fn slow_log_records_validate() {
             &opts.clone().timeout_ms(0),
         )
         .unwrap_err();
+    // A profiled query failing at bind: one outcome vocabulary, so the
+    // line's outcome and its profile's outcome agree.
+    database
+        .connect()
+        .execute_with("select r.nope from r", &opts)
+        .unwrap_err();
 
     let contents = std::fs::read_to_string(&path).unwrap();
     let n = nra::obs::slowlog::validate_lines(&contents).unwrap();
-    assert_eq!(n, 2, "both queries logged:\n{contents}");
+    assert_eq!(n, 3, "every query logged:\n{contents}");
     let lines: Vec<&str> = contents.lines().collect();
     assert!(lines[0].contains("\"outcome\": \"ok\""));
     assert!(
@@ -349,6 +355,14 @@ fn slow_log_records_validate() {
         "Algorithm 1 plan embedded"
     );
     assert!(lines[1].contains("\"outcome\": \"cancelled\""));
+    let bind_failure = nra::obs::json::Json::parse(lines[2]).unwrap();
+    let outcome = bind_failure.get("outcome").and_then(|o| o.as_str());
+    assert_eq!(outcome, Some("sql"), "{}", lines[2]);
+    let profile_outcome = bind_failure
+        .get("profile")
+        .and_then(|p| p.get("outcome"))
+        .and_then(|o| o.as_str());
+    assert_eq!(profile_outcome, outcome, "{}", lines[2]);
     let _ = std::fs::remove_file(&path);
 
     // A high threshold logs nothing.
