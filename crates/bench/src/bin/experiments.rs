@@ -15,34 +15,24 @@
 //!   baselines; non-zero exit + per-operator delta table on regression
 //! * `--wall-factor <f>` — wall-time tolerance band for the check
 //! * `--trace` — trace the paper's Query Q, write `TRACE_QQ.jsonl`
-//! * `--serve` — start the TCP front end on an ephemeral port and drive
-//!   it with concurrent protocol clients (1, then `--clients`, default
-//!   8) running the headline queries; report client-observed per-query
-//!   p50/p99 latency and aggregate throughput scaling
 //! * `--threads <n>` — worker budget for the partition-parallel executor
 //!   (also enables the `parallel` section: sequential vs parallel wall
 //!   time on Q2a/Q2b for the nested relational series)
 //! * `--batch-size <n>` — rows per `ValueBatch` for the vectorized
 //!   executors (default 1024; also settable via `NRA_BATCH_ROWS`)
-//! * `--record` — append timestamped wall-time entries for Q1/Q2A/Q2B at
-//!   1 and 4 threads to the committed trajectory file
-//!   (`crates/bench/trajectory/BENCH_TRAJECTORY.jsonl`)
-//! * `--trajectory <path>` — record/check against this file instead
-//! * `--check-trajectory` — validate the trajectory file (JSONL schema,
-//!   append-only timestamps); non-zero exit on violation
 //! * `--metrics <path>` — run the headline queries through the facade
 //!   with metrics collection and write the process-cumulative registry
 //!   as JSONL to `<path>`
 //! * `--slow-log <path>` — run the headline queries with a zero
 //!   slow-query threshold appending to `<path>`, then schema-validate
 //!   the whole log; non-zero exit on a malformed record
-//! * `--db <dir>` — durability mode: open (or create) a persistent
-//!   database at `<dir>`, importing the bench catalog on the first run
-//!   and recovering it (snapshot + WAL replay) on later runs, then run
-//!   the headline queries and checkpoint; no figures are produced
 //!
-//! Passing any unknown positional (e.g. `none`) selects no figures, so
-//! `experiments --scale 0.02 --record none` runs only the recorder.
+//! An unknown `--flag` is an error (non-zero exit naming it). Any bare
+//! word that names no figure (e.g. `none`) selects no figures, so
+//! `experiments --scale 0.02 --profile none` runs only the profiles.
+//!
+//! End-to-end and per-layer timing (wire latency, per-strategy kernel
+//! time, recovery) is `perfbench`'s job; see `perfbench/README.md`.
 //!
 //! Figures (paper → here):
 //!
@@ -65,8 +55,7 @@ use nra_storage::Catalog;
 struct Args {
     scale: f64,
     reps: usize,
-    /// Write `BENCH_*.json` per-operator execution profiles
-    /// (`--profile`, or the `NRA_OBS=1` environment variable).
+    /// Write `BENCH_*.json` per-operator execution profiles.
     profile: bool,
     /// Refresh the committed baselines under `crates/bench/baselines/`.
     baseline_write: bool,
@@ -85,133 +74,60 @@ struct Args {
     /// Rows per `ValueBatch` for the vectorized executors
     /// (`--batch-size`; default: `NRA_BATCH_ROWS`, else 1024).
     batch_rows: Option<usize>,
-    /// Append headline wall times to the committed trajectory file.
-    record: bool,
-    /// Override the trajectory file path for `--record`/`--check-trajectory`.
-    trajectory: Option<std::path::PathBuf>,
-    /// Validate the trajectory file and exit non-zero on violation.
-    check_trajectory: bool,
     /// Write the process-cumulative metrics registry as JSONL here.
     metrics: Option<std::path::PathBuf>,
     /// Run the headline queries with a zero slow-query threshold,
     /// appending their records to this JSONL log, then schema-validate
     /// the whole file; exit non-zero on a malformed record.
     slow_log: Option<std::path::PathBuf>,
-    /// Start the TCP front end and drive it with concurrent protocol
-    /// clients; report per-query p50/p99 latency and 1-client vs
-    /// N-client throughput (`--serve`).
-    serve: bool,
-    /// Client count for `--serve` (default 8).
-    clients: usize,
-    /// Durability mode (`--db <dir>`): open a persistent database at
-    /// the directory, importing the bench catalog on first run and
-    /// recovering it (snapshot + WAL replay) on later runs, then run
-    /// the headline queries and checkpoint. No figures are produced.
-    db: Option<std::path::PathBuf>,
     figures: Vec<String>,
 }
 
-fn parse_args() -> Args {
+/// The value following `flag`, parsed; `what` names the expected kind.
+fn flag_value<T: std::str::FromStr>(
+    it: &mut impl Iterator<Item = String>,
+    flag: &str,
+    what: &str,
+) -> Result<T, String> {
+    it.next()
+        .and_then(|v| v.parse().ok())
+        .ok_or_else(|| format!("{flag} takes {what}"))
+}
+
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         scale: 0.5,
         reps: 3,
-        profile: std::env::var("NRA_OBS").is_ok_and(|v| v == "1"),
+        profile: false,
         baseline_write: false,
         baseline_check: false,
         wall_factor: baseline::Tolerance::default().wall_factor,
         trace: false,
         threads: None,
         batch_rows: None,
-        record: false,
-        trajectory: None,
-        check_trajectory: false,
         metrics: None,
         slow_log: None,
-        serve: false,
-        clients: 8,
-        db: None,
         figures: vec![],
     };
-    let mut it = std::env::args().skip(1);
+    let mut it = argv.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--scale" => {
-                args.scale = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--scale takes a number")
-            }
-            "--reps" => {
-                args.reps = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--reps takes an integer")
-            }
+            "--scale" => args.scale = flag_value(&mut it, &a, "a number")?,
+            "--reps" => args.reps = flag_value(&mut it, &a, "an integer")?,
             "--profile" => args.profile = true,
             "--baseline-write" => args.baseline_write = true,
             "--baseline-check" => args.baseline_check = true,
-            "--wall-factor" => {
-                args.wall_factor = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--wall-factor takes a number")
-            }
+            "--wall-factor" => args.wall_factor = flag_value(&mut it, &a, "a number")?,
             "--trace" => args.trace = true,
-            "--serve" => args.serve = true,
-            "--clients" => {
-                args.clients = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--clients takes a client count")
-            }
-            "--record" => args.record = true,
-            "--trajectory" => {
-                args.trajectory = Some(
-                    it.next()
-                        .map(std::path::PathBuf::from)
-                        .expect("--trajectory takes a path"),
-                )
-            }
-            "--check-trajectory" => args.check_trajectory = true,
-            "--metrics" => {
-                args.metrics = Some(
-                    it.next()
-                        .map(std::path::PathBuf::from)
-                        .expect("--metrics takes a path"),
-                )
-            }
-            "--slow-log" => {
-                args.slow_log = Some(
-                    it.next()
-                        .map(std::path::PathBuf::from)
-                        .expect("--slow-log takes a path"),
-                )
-            }
-            "--threads" => {
-                args.threads = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--threads takes a worker count"),
-                )
-            }
-            "--batch-size" => {
-                args.batch_rows = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--batch-size takes a row count"),
-                )
-            }
-            "--db" => {
-                args.db = Some(
-                    it.next()
-                        .map(std::path::PathBuf::from)
-                        .expect("--db takes a directory path"),
-                )
-            }
-            other => args.figures.push(other.to_string()),
+            "--metrics" => args.metrics = Some(flag_value(&mut it, &a, "a path")?),
+            "--slow-log" => args.slow_log = Some(flag_value(&mut it, &a, "a path")?),
+            "--threads" => args.threads = Some(flag_value(&mut it, &a, "a worker count")?),
+            "--batch-size" => args.batch_rows = Some(flag_value(&mut it, &a, "a row count")?),
+            flag if flag.starts_with("--") => return Err(format!("unknown flag `{flag}`")),
+            figure => args.figures.push(figure.to_string()),
         }
     }
-    args
+    Ok(args)
 }
 
 fn wanted(args: &Args, fig: &str) -> bool {
@@ -415,11 +331,10 @@ fn nrcost(cat: &Catalog, args: &Args) {
 }
 
 fn main() {
-    let args = parse_args();
-    if let Some(dir) = &args.db {
-        durable_bench(dir, args.scale, args.reps);
-        return;
-    }
+    let args = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    });
     let _thread_budget = args
         .threads
         .map(|n| nra::engine::exec::set_threads(Some(n)));
@@ -502,15 +417,6 @@ fn main() {
     if args.trace {
         trace_query_q();
     }
-    if args.serve {
-        serve_bench(&nullable, &args);
-    }
-    if args.record {
-        record_trajectory(&strict, &nullable, &args);
-    }
-    if args.check_trajectory {
-        check_trajectory(&args);
-    }
     if let Some(path) = &args.metrics {
         write_metrics(path, &strict, &nullable, &args);
     }
@@ -591,7 +497,7 @@ fn parallel_speedup(strict: &Catalog, nullable: &Catalog, args: &Args) {
 }
 
 /// The three headline queries (largest grid point each) shared by the
-/// profile baselines, the trajectory recorder, and the metrics export.
+/// profile baselines, the metrics export and the slow-query log.
 fn headline_queries<'a>(
     strict: &'a Catalog,
     nullable: &'a Catalog,
@@ -629,152 +535,6 @@ fn collect_profiles(
             profile::QueryProfile::collect(name, &pq, args.scale)
         })
         .collect()
-}
-
-/// `--record`: time the headline queries (both nested relational series)
-/// at 1 and 4 worker threads and append the points to the wall-time
-/// trajectory file. Unlike the figure tables (simulated-I/O estimates),
-/// the trajectory records raw wall-clock seconds on the current host —
-/// the *median* over `--reps` runs (after warm-up), so a single
-/// scheduler stall on a shared host cannot inflate a recorded point.
-fn record_trajectory(strict: &Catalog, nullable: &Catalog, args: &Args) {
-    let ts_unix = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .expect("clock after the epoch")
-        .as_secs();
-    let path = args
-        .trajectory
-        .clone()
-        .unwrap_or_else(trajectory::default_path);
-    let mut entries = Vec::new();
-    for (name, cat, sql) in headline_queries(strict, nullable, args.scale) {
-        let pq = PreparedQuery::new(cat, sql).unwrap();
-        for threads in [1usize, 4] {
-            let _g = nra::engine::exec::set_threads(Some(threads));
-            for series in [Series::NrOriginal, Series::NrOptimized] {
-                let (wall_secs, rows) = pq.time_median(series, args.reps);
-                entries.push(trajectory::TrajectoryEntry {
-                    ts_unix,
-                    scale: args.scale,
-                    query: name.to_string(),
-                    threads,
-                    series: series.label().to_string(),
-                    reps: args.reps,
-                    wall_secs,
-                    rows,
-                });
-            }
-        }
-    }
-    trajectory::append(&path, &entries).expect("append trajectory entries");
-    println!(
-        "### Wall-time trajectory\n\n- appended {} entries to {}\n",
-        entries.len(),
-        path.display()
-    );
-}
-
-/// `--check-trajectory`: schema + append-only validation; non-zero exit
-/// on any violation so CI can gate on it.
-fn check_trajectory(args: &Args) {
-    let path = args
-        .trajectory
-        .clone()
-        .unwrap_or_else(trajectory::default_path);
-    match trajectory::validate_file(&path) {
-        Ok(entries) => println!(
-            "trajectory check passed: {} entries in {}\n",
-            entries.len(),
-            path.display()
-        ),
-        Err(e) => {
-            eprintln!("trajectory check FAILED: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-/// `--db <dir>`: the CI durability mode. The first run against an empty
-/// directory imports the nullable bench catalog through the durable
-/// path (each table one atomic WAL `CreateTable` record); later runs
-/// recover the catalog from snapshot + log and report what replay did.
-/// Both runs execute the headline queries against the durable catalog
-/// and end with an explicit checkpoint. The `durable-catalog:` /
-/// `reopen-replay:` / `checkpoint:` lines are stable grep targets for
-/// the CI `durability-check` job.
-fn durable_bench(dir: &std::path::Path, scale: f64, reps: usize) {
-    let db = match nra::Database::open(dir) {
-        Ok(db) => db,
-        Err(e) => {
-            eprintln!(
-                "error: cannot open durable database at {}: {e}",
-                dir.display()
-            );
-            std::process::exit(1);
-        }
-    };
-    let report = db
-        .recovery()
-        .expect("durable database has a recovery report");
-    let fresh = db.catalog().table_names().is_empty();
-    if fresh {
-        eprintln!("generating data at scale {scale} ...");
-        let cat = bench_catalog_nullable(scale);
-        for name in cat.table_names() {
-            db.add_table(cat.table(name).unwrap().clone())
-                .expect("import bench table");
-        }
-        println!(
-            "durable-catalog: imported {} table(s) into {}",
-            db.catalog().table_names().len(),
-            dir.display()
-        );
-    } else {
-        println!(
-            "durable-catalog: recovered {} table(s) from {} \
-             (snapshot lsn {}, {} record(s) replayed)",
-            db.catalog().table_names().len(),
-            dir.display(),
-            report.snapshot_lsn,
-            report.replayed
-        );
-        println!("reopen-replay: ok");
-    }
-    for msg in &report.messages {
-        println!("recovery: {msg}");
-    }
-
-    let grid = paper_grid(scale);
-    let q1_outer = *grid.q1_outer.last().unwrap();
-    let part = *grid.q23_part.last().unwrap();
-    let queries: Vec<(&'static str, String)> = {
-        let cat = db.catalog();
-        vec![
-            ("Q1", q1_sql(&cat, q1_outer)),
-            ("Q2A", q2_sql(&cat, Quant::Any, part, grid.q23_partsupp)),
-            ("Q2B", q2_sql(&cat, Quant::All, part, grid.q23_partsupp)),
-        ]
-    };
-    let session = db.connect();
-    println!("\n| query | median (ms) over {reps} rep(s) | rows |");
-    println!("|---|---|---|");
-    for (name, sql) in &queries {
-        let mut times = Vec::new();
-        let mut rows = 0;
-        for _ in 0..reps.max(1) {
-            let start = std::time::Instant::now();
-            let out = session
-                .execute(sql)
-                .unwrap_or_else(|e| panic!("headline query {name} runs durably: {e}"));
-            times.push(start.elapsed().as_secs_f64() * 1e3);
-            rows = out.rows.len();
-        }
-        times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        println!("| {name} | {:.2} | {rows} |", times[times.len() / 2]);
-    }
-
-    let lsn = db.checkpoint().expect("checkpoint durable database");
-    println!("\ncheckpoint: lsn {lsn} at {}", dir.display());
 }
 
 /// `--metrics <path>`: run the headline queries through the facade with
@@ -831,98 +591,6 @@ fn write_slow_log(path: &std::path::Path, strict: &Catalog, nullable: &Catalog, 
     }
 }
 
-/// `--serve`: start the TCP front end over the nullable headline
-/// catalog and hammer it with protocol clients — first one, then
-/// `--clients` — running the headline queries (Q1/Q2A/Q2B, all valid on
-/// the nullable schema) in rounds. Reports per-query p50/p99 latency as
-/// observed by the clients, plus aggregate throughput; the N-client
-/// phase is expected to sustain well above 1-client throughput since
-/// read queries share the catalog lock and the plan cache.
-fn serve_bench(nullable: &Catalog, args: &Args) {
-    let grid = paper_grid(args.scale);
-    let q1_outer = *grid.q1_outer.last().unwrap();
-    let part = *grid.q23_part.last().unwrap();
-    let queries: Vec<(&'static str, String)> = vec![
-        ("Q1", q1_sql(nullable, q1_outer)),
-        ("Q2A", q2_sql(nullable, Quant::Any, part, grid.q23_partsupp)),
-        ("Q2B", q2_sql(nullable, Quant::All, part, grid.q23_partsupp)),
-    ];
-    let rounds = (args.reps * 8).max(8);
-
-    let db = nra::Database::from_catalog(nullable.clone());
-    let handle = nra_server::serve(db, "127.0.0.1:0").expect("bind ephemeral port");
-    let addr = handle.addr();
-    println!(
-        "### Serving benchmark ({} round(s) of {} queries per client, scale {})\n",
-        rounds,
-        queries.len(),
-        args.scale
-    );
-    println!("| clients | query | p50 (ms) | p99 (ms) | queries/s (all) |");
-    println!("|---|---|---|---|---|");
-
-    let mut throughput_1 = None;
-    for clients in [1usize, args.clients.max(1)] {
-        let phase_start = std::time::Instant::now();
-        let workers: Vec<_> = (0..clients)
-            .map(|_| {
-                let queries = queries.clone();
-                std::thread::spawn(move || {
-                    let mut client =
-                        nra_server::Client::connect(addr).expect("connect to bench server");
-                    let mut lat: Vec<Vec<f64>> = vec![Vec::new(); queries.len()];
-                    let mut rows: Vec<usize> = vec![0; queries.len()];
-                    for _ in 0..rounds {
-                        for (qi, (name, sql)) in queries.iter().enumerate() {
-                            let start = std::time::Instant::now();
-                            let resp = client
-                                .query(sql)
-                                .unwrap_or_else(|e| panic!("{name} over the wire: {e}"));
-                            lat[qi].push(start.elapsed().as_secs_f64() * 1e3);
-                            match rows[qi] {
-                                0 => rows[qi] = resp.rows.len().max(1),
-                                r => assert_eq!(
-                                    r,
-                                    resp.rows.len().max(1),
-                                    "{name} answer changed across rounds"
-                                ),
-                            }
-                        }
-                    }
-                    lat
-                })
-            })
-            .collect();
-        let mut per_query: Vec<Vec<f64>> = vec![Vec::new(); queries.len()];
-        for w in workers {
-            for (qi, lat) in w.join().expect("client thread").into_iter().enumerate() {
-                per_query[qi].extend(lat);
-            }
-        }
-        let phase_secs = phase_start.elapsed().as_secs_f64();
-        let total_queries = clients * rounds * queries.len();
-        let qps = total_queries as f64 / phase_secs;
-        if clients == 1 {
-            throughput_1 = Some(qps);
-        }
-        for (qi, (name, _)) in queries.iter().enumerate() {
-            let lat = &mut per_query[qi];
-            lat.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            let p50 = lat[lat.len() / 2];
-            let p99 = lat[(lat.len() * 99) / 100];
-            println!("| {clients} | {name} | {p50:.3} | {p99:.3} | {qps:.1} |");
-        }
-        if clients > 1 {
-            let base = throughput_1.expect("1-client phase ran first");
-            println!(
-                "\n{clients}-client throughput is {:.2}x the 1-client baseline\n",
-                qps / base
-            );
-        }
-    }
-    handle.shutdown();
-}
-
 /// `--baseline-check`: exact diff on counters and I/O pages, tolerance
 /// band on wall time, non-zero exit with a delta table on regression.
 fn check_baselines(profiles: &[profile::QueryProfile], args: &Args) {
@@ -973,4 +641,40 @@ fn trace_query_q() {
     let path = std::env::current_dir().expect("cwd").join("TRACE_QQ.jsonl");
     std::fs::write(&path, trace.to_jsonl()).expect("write trace artifact");
     println!("- wrote {}\n", path.display());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(argv: &[&str]) -> Result<Args, String> {
+        parse_args(argv.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected_by_name() {
+        for bad in ["--record", "--baseline-chek", "--serve", "--db"] {
+            let err = parse(&["--scale", "0.02", bad, "none"]).err().unwrap();
+            assert!(err.contains(bad), "{bad}: {err}");
+        }
+        let err = parse(&["--scale", "x"]).err().unwrap();
+        assert!(err.contains("--scale"), "{err}");
+    }
+
+    #[test]
+    fn known_flags_and_positionals_parse() {
+        let args = parse(&["--scale", "0.02", "--profile", "none"]).unwrap();
+        assert_eq!(args.scale, 0.02);
+        assert!(args.profile && !args.baseline_check);
+        assert_eq!(args.figures, vec!["none"]);
+        assert!(!wanted(&args, "fig4"), "`none` selects no figure");
+
+        let args = parse(&["--threads", "4", "--batch-size", "3", "parallel"]).unwrap();
+        assert_eq!((args.threads, args.batch_rows), (Some(4), Some(3)));
+        assert!(wanted(&args, "parallel") && !wanted(&args, "fig5"));
+        assert!(
+            wanted(&parse(&[]).unwrap(), "fig5"),
+            "no positional selects all"
+        );
+    }
 }

@@ -1,8 +1,8 @@
 //! Shared harness for the paper-reproduction benchmarks.
 //!
-//! Both the Criterion benches (one per figure) and the `experiments`
-//! binary (which prints paper-style tables) go through this module, so a
-//! "series" is defined in exactly one place:
+//! The `experiments` binary (which prints paper-style tables) and the
+//! profile baselines both go through this module, so a "series" is
+//! defined in exactly one place:
 //!
 //! * **native** — the System-A-style baseline plans (index probes are
 //!   prepared before timing, as the paper's pre-built indexes are);
@@ -11,9 +11,7 @@
 //! * **NR-optimized** — the single-sort pipelined cascade.
 
 pub mod baseline;
-pub mod harness;
 pub mod profile;
-pub mod trajectory;
 
 use std::time::{Duration, Instant};
 
@@ -100,35 +98,6 @@ impl<'a> PreparedQuery<'a> {
             rows = out.len();
         }
         (total.as_secs_f64() / reps.max(1) as f64, rows)
-    }
-
-    /// Time one series robustly: two untimed warm-up runs, then `reps`
-    /// timed runs, returning the *median* per-run seconds plus the row
-    /// count. The trajectory recorder uses this instead of
-    /// [`Self::time`]: on shared hosts a single scheduler stall can
-    /// inflate one rep by 10-25%, which a mean never recovers from but
-    /// a median shrugs off; the warm-up keeps cold caches out of the
-    /// sample entirely.
-    pub fn time_median(&self, series: Series, reps: usize) -> (f64, usize) {
-        let mut rows = 0;
-        for _ in 0..2 {
-            rows = self.run(series).expect("benchmark query runs").len();
-        }
-        let mut samples: Vec<f64> = Vec::with_capacity(reps.max(1));
-        for _ in 0..reps.max(1) {
-            let start = Instant::now();
-            let out = self.run(series).expect("benchmark query runs");
-            samples.push(start.elapsed().as_secs_f64());
-            rows = out.len();
-        }
-        samples.sort_by(|a, b| a.total_cmp(b));
-        let mid = samples.len() / 2;
-        let median = if samples.len() % 2 == 1 {
-            samples[mid]
-        } else {
-            (samples[mid - 1] + samples[mid]) / 2.0
-        };
-        (median, rows)
     }
 }
 
@@ -238,15 +207,6 @@ pub fn bench_catalog(scale: f64) -> Catalog {
 /// The catalog variant without NOT NULL constraints (Query 1 ablation).
 pub fn bench_catalog_nullable(scale: f64) -> Catalog {
     generate(&TpchConfig::scaled(scale).nullable_links(0.0))
-}
-
-/// Scale for `cargo bench` runs (`NRA_BENCH_SCALE`, default 0.05 to keep
-/// Criterion runs quick; the `experiments` binary defaults higher).
-pub fn bench_scale() -> f64 {
-    std::env::var("NRA_BENCH_SCALE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.05)
 }
 
 /// The paper's X-axis block-size grid, scaled: Query 1 sweeps the outer

@@ -15,7 +15,7 @@
 //! Three sinks ship with the crate:
 //!
 //! * [`RingSink`] — an in-memory ring buffer, read back as a [`Trace`]
-//!   (used by `Database::trace_query` and tests);
+//!   (used by `QueryOptions::collect_trace` and tests);
 //! * [`StderrSink`] — a pretty indented tree on stderr (`NRA_TRACE=1`);
 //! * [`JsonlSink`] — one JSON object per event appended to a file
 //!   (`NRA_TRACE_FILE=path`).

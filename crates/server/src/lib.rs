@@ -17,8 +17,10 @@
 //! .ping                      liveness probe
 //! .session                   one-row result with this connection's session id
 //! .set <key> <value>         set a session default: engine, threads,
-//!                            timeout_ms, mem_limit, plan_cache
-//!                            (value `off`/`auto` resets to the default)
+//!                            timeout_ms, mem_limit (value `off`/`auto`
+//!                            resets to the default), or plan_cache
+//!                            (`on|off|1|0|true|false`; anything else
+//!                            is an `err protocol`)
 //! .prepare <name> <sql>      validate + remember a statement
 //! .exec <name>               run a prepared statement
 //! .quit                      close the connection
@@ -39,7 +41,7 @@
 //!
 //! The framing is identical for commands and SQL so clients need exactly
 //! one parser ([`Client`] is that parser, used by the integration tests
-//! and the `bench --serve` driver).
+//! and `perfbench`).
 //!
 //! `NRA_SERVER_POLL_MS` tunes how often blocked readers wake up (both
 //! the server's shutdown poll and the client's read timeout); the
@@ -53,7 +55,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use nra::engine::config::Config;
-use nra::{Database, Engine, QueryOptions, Session, Strategy};
+use nra::{Database, Engine, QueryOptions, Session};
 
 /// Default wake-up cadence for blocked socket readers, in milliseconds.
 const DEFAULT_POLL_MS: u64 = 100;
@@ -372,13 +374,7 @@ impl Connection {
             .ok_or(".set takes a key and a value")?;
         let off = value.eq_ignore_ascii_case("off") || value.eq_ignore_ascii_case("auto");
         match key {
-            "engine" => {
-                self.config.engine = if off {
-                    None
-                } else {
-                    Some(parse_engine(value)?)
-                }
-            }
+            "engine" => self.config.engine = if off { None } else { Some(value.parse()?) },
             "threads" => {
                 self.config.threads = if off {
                     None
@@ -414,11 +410,15 @@ impl Connection {
                 }
             }
             "plan_cache" => {
-                self.config.plan_cache = if off {
-                    None
-                } else {
-                    Some(matches!(value, "on" | "1" | "true"))
-                }
+                self.config.plan_cache = Some(match value.to_ascii_lowercase().as_str() {
+                    "on" | "1" | "true" => true,
+                    "off" | "0" | "false" => false,
+                    _ => {
+                        return Err(format!(
+                            "plan_cache takes on|off|1|0|true|false, got `{value}`"
+                        ))
+                    }
+                })
             }
             other => {
                 return Err(format!(
@@ -479,26 +479,12 @@ impl Connection {
     }
 }
 
-fn parse_engine(value: &str) -> Result<Engine, String> {
-    Ok(match value.to_ascii_lowercase().as_str() {
-        "nr" => Engine::NestedRelational(Strategy::Auto),
-        "original" => Engine::NestedRelational(Strategy::Original),
-        "optimized" => Engine::NestedRelational(Strategy::Optimized),
-        "bottomup" => Engine::NestedRelational(Strategy::BottomUp),
-        "pushdown" => Engine::NestedRelational(Strategy::BottomUpPushdown),
-        "positive" => Engine::NestedRelational(Strategy::PositiveRewrite),
-        "baseline" | "native" => Engine::Baseline,
-        "oracle" | "reference" => Engine::Reference,
-        other => return Err(format!("unknown engine `{other}`")),
-    })
-}
-
 // ---------------------------------------------------------------------
 // Client.
 // ---------------------------------------------------------------------
 
 /// A synchronous protocol client: one request, one framed response.
-/// Used by the integration tests and the `bench --serve` driver; small
+/// Used by the integration tests and `perfbench`; small
 /// enough to reimplement from the protocol docs in any language.
 #[derive(Debug)]
 pub struct Client {

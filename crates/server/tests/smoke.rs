@@ -98,6 +98,39 @@ fn set_prepare_exec_roundtrip() {
 }
 
 #[test]
+fn set_plan_cache_off_disables_the_cache() {
+    let handle = serve(seeded_db(), "127.0.0.1:0").unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let cached = |client: &mut Client| {
+        client
+            .query("select statement from nra_sys.plan_cache")
+            .unwrap()
+            .rows
+            .into_iter()
+            .any(|r| r[0].contains("42"))
+    };
+
+    client.query(".set plan_cache off").unwrap();
+    for _ in 0..2 {
+        client.query("select v from t where k = 42").unwrap();
+    }
+    assert!(!cached(&mut client), "`off` must keep the plan cache off");
+
+    client.query(".set plan_cache on").unwrap();
+    for _ in 0..2 {
+        client.query("select v from t where k = 42").unwrap();
+    }
+    assert!(cached(&mut client), "`on` turns the plan cache back on");
+
+    let err = client.query(".set plan_cache yes").unwrap_err();
+    assert!(
+        err.starts_with("protocol:") && err.contains("`yes`"),
+        "{err}"
+    );
+    handle.shutdown();
+}
+
+#[test]
 fn string_values_roundtrip_escaping() {
     let db = Database::new();
     db.create_table(

@@ -497,17 +497,7 @@ impl Shell {
     }
 
     fn cmd_engine(&mut self, args: &str) -> Result<(), String> {
-        self.engine = match args.to_ascii_lowercase().as_str() {
-            "auto" | "nr" => Engine::NestedRelational(Strategy::Auto),
-            "original" => Engine::NestedRelational(Strategy::Original),
-            "optimized" => Engine::NestedRelational(Strategy::Optimized),
-            "bottomup" => Engine::NestedRelational(Strategy::BottomUp),
-            "pushdown" => Engine::NestedRelational(Strategy::BottomUpPushdown),
-            "positive" => Engine::NestedRelational(Strategy::PositiveRewrite),
-            "baseline" | "native" => Engine::Baseline,
-            "oracle" | "reference" => Engine::Reference,
-            other => return Err(format!("unknown engine `{other}`")),
-        };
+        self.engine = args.parse()?;
         println!("engine set to {:?}", self.engine);
         self.sync_defaults();
         Ok(())

@@ -98,6 +98,26 @@ impl Default for Engine {
     }
 }
 
+/// The one engine-name table, shared by the CLI's `:engine` and the
+/// server's `.set engine` (case-insensitive).
+impl std::str::FromStr for Engine {
+    type Err = String;
+
+    fn from_str(name: &str) -> Result<Engine, String> {
+        Ok(match name.to_ascii_lowercase().as_str() {
+            "auto" | "nr" => Engine::NestedRelational(Strategy::Auto),
+            "original" => Engine::NestedRelational(Strategy::Original),
+            "optimized" => Engine::NestedRelational(Strategy::Optimized),
+            "bottomup" => Engine::NestedRelational(Strategy::BottomUp),
+            "pushdown" => Engine::NestedRelational(Strategy::BottomUpPushdown),
+            "positive" => Engine::NestedRelational(Strategy::PositiveRewrite),
+            "baseline" | "native" => Engine::Baseline,
+            "oracle" | "reference" => Engine::Reference,
+            other => return Err(format!("unknown engine `{other}`")),
+        })
+    }
+}
+
 /// Unified error type of the facade.
 #[derive(Debug, Clone, PartialEq)]
 pub enum NraError {
@@ -937,20 +957,11 @@ fn strategy_label(engine: Engine, bound: Option<&BoundQuery>) -> &'static str {
     match engine {
         Engine::Baseline => "baseline",
         Engine::Reference => "reference",
-        Engine::NestedRelational(s) => {
-            let s = match (s, bound) {
-                (Strategy::Auto, Some(b)) => nra_core::auto_strategy(b),
-                (s, _) => s,
-            };
-            match s {
-                Strategy::Auto => "auto",
-                Strategy::Original => "original",
-                Strategy::Optimized => "optimized",
-                Strategy::BottomUp => "bottom-up",
-                Strategy::BottomUpPushdown => "bottom-up-pushdown",
-                Strategy::PositiveRewrite => "positive-rewrite",
-            }
+        Engine::NestedRelational(s) => match (s, bound) {
+            (Strategy::Auto, Some(b)) => nra_core::auto_strategy(b),
+            (s, _) => s,
         }
+        .name(),
     }
 }
 
@@ -1005,6 +1016,27 @@ mod tests {
         let oracle = run(Engine::Reference);
         assert!(nr.multiset_eq(&oracle));
         assert!(base.multiset_eq(&oracle));
+    }
+
+    #[test]
+    fn engine_names_parse_from_one_table() {
+        let nr = Engine::NestedRelational;
+        for (name, want) in [
+            ("auto", Ok(nr(Strategy::Auto))),
+            ("NR", Ok(nr(Strategy::Auto))),
+            ("original", Ok(nr(Strategy::Original))),
+            ("optimized", Ok(nr(Strategy::Optimized))),
+            ("bottomup", Ok(nr(Strategy::BottomUp))),
+            ("pushdown", Ok(nr(Strategy::BottomUpPushdown))),
+            ("positive", Ok(nr(Strategy::PositiveRewrite))),
+            ("baseline", Ok(Engine::Baseline)),
+            ("native", Ok(Engine::Baseline)),
+            ("oracle", Ok(Engine::Reference)),
+            ("Reference", Ok(Engine::Reference)),
+            ("bottom-up", Err("unknown engine `bottom-up`".to_string())),
+        ] {
+            assert_eq!(name.parse::<Engine>(), want, "{name}");
+        }
     }
 
     #[test]
